@@ -13,25 +13,11 @@ operations (bigger image), mcc links a shared library.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.memsim.costs import CLOCK_HZ
-from repro.memsim.heap import HeapModel
+from repro.memsim.heap import PAGE_SIZE, HeapModel
 from repro.memsim.stack import StackModel
-
-
-@dataclass(slots=True)
-class SeriesAverage:
-    weighted_sum: float = 0.0
-    peak: float = 0.0
-
-    def add(self, value: float, dt: float) -> None:
-        self.weighted_sum += value * dt
-        if value > self.peak:
-            self.peak = value
-
-    def average(self, total_time: float) -> float:
-        return self.weighted_sum / total_time if total_time > 0 else 0.0
 
 
 @dataclass(slots=True)
@@ -67,12 +53,14 @@ class MemoryMeter:
             else binary_image_bytes
         )
         self._last_cycles = 0.0
-        self._stack_avg = SeriesAverage()
-        self._heap_avg = SeriesAverage()
-        self._dynamic_avg = SeriesAverage()
-        self._virtual_avg = SeriesAverage()
-        self._resident_avg = SeriesAverage()
         self._total_cycles = 0.0
+        # Σ value·Δt per series, and the peak of the dynamic series
+        self._stack_sum = 0.0
+        self._heap_sum = 0.0
+        self._dynamic_sum = 0.0
+        self._virtual_sum = 0.0
+        self._resident_sum = 0.0
+        self._dynamic_peak = 0.0
 
     def sample(self, clock_cycles: float) -> None:
         dt = clock_cycles - self._last_cycles
@@ -80,34 +68,47 @@ class MemoryMeter:
             return
         self._last_cycles = clock_cycles
         self._total_cycles = clock_cycles
-        stack_b = self._stack.segment_bytes
-        heap_b = self._heap.live_bytes
-        dynamic_b = self._stack.current_bytes + heap_b
-        virtual_b = (
-            self._image + self._stack.segment_bytes + self._heap.segment_bytes
+        # The segment and resident sizes are the StackModel/HeapModel
+        # properties, read off their fields: this runs after every
+        # instruction.  Each sum takes one value·Δt per sample, in
+        # sample order, so the reported floats are unchanged.
+        stack, heap = self._stack, self._heap
+        stack_segment = (
+            (stack.high_watermark + PAGE_SIZE - 1) // PAGE_SIZE * PAGE_SIZE
         )
-        resident_b = (
+        heap_b = heap.live_bytes
+        dynamic_b = stack.depth_bytes + heap_b
+        self._stack_sum += stack_segment * dt
+        self._heap_sum += heap_b * dt
+        self._dynamic_sum += dynamic_b * dt
+        self._virtual_sum += (
+            self._image
+            + stack_segment
+            + (heap.brk + PAGE_SIZE - 1) // PAGE_SIZE * PAGE_SIZE
+        ) * dt
+        self._resident_sum += (
             self._resident_image  # only touched text/library pages
-            + self._stack.resident_bytes
-            + self._heap.resident_bytes
-        )
-        self._stack_avg.add(stack_b, dt)
-        self._heap_avg.add(heap_b, dt)
-        self._dynamic_avg.add(dynamic_b, dt)
-        self._virtual_avg.add(virtual_b, dt)
-        self._resident_avg.add(resident_b, dt)
+            + stack.touched_pages * PAGE_SIZE
+            + len(heap.touched_pages) * PAGE_SIZE
+        ) * dt
+        if dynamic_b > self._dynamic_peak:
+            self._dynamic_peak = dynamic_b
 
     def report(self) -> MemoryReport:
         t = self._total_cycles
         seconds = t / CLOCK_HZ
-        avg_dynamic_kb = self._dynamic_avg.average(t) / 1024.0
+
+        def average_kb(weighted_sum: float) -> float:
+            return (weighted_sum / t if t > 0 else 0.0) / 1024.0
+
+        avg_dynamic_kb = average_kb(self._dynamic_sum)
         return MemoryReport(
-            avg_stack_kb=self._stack_avg.average(t) / 1024.0,
-            avg_heap_kb=self._heap_avg.average(t) / 1024.0,
+            avg_stack_kb=average_kb(self._stack_sum),
+            avg_heap_kb=average_kb(self._heap_sum),
             avg_dynamic_kb=avg_dynamic_kb,
-            avg_virtual_kb=self._virtual_avg.average(t) / 1024.0,
-            avg_resident_kb=self._resident_avg.average(t) / 1024.0,
-            peak_dynamic_kb=self._dynamic_avg.peak / 1024.0,
+            avg_virtual_kb=average_kb(self._virtual_sum),
+            avg_resident_kb=average_kb(self._resident_sum),
+            peak_dynamic_kb=self._dynamic_peak / 1024.0,
             execution_seconds=seconds,
             kcore_min=avg_dynamic_kb * (seconds / 60.0),
             mallocs=self._heap.malloc_count,

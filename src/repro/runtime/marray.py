@@ -16,6 +16,8 @@ import numpy as np
 
 from repro.runtime.errors import MatlabRuntimeError
 
+_FLOAT64 = np.dtype(np.float64)
+
 
 @dataclass(frozen=True, slots=True)
 class MArray:
@@ -27,19 +29,26 @@ class MArray:
 
     @staticmethod
     def from_scalar(value: complex | float | int | bool) -> "MArray":
+        # a 1×1 array is both C- and Fortran-contiguous as built
         if isinstance(value, bool):
-            return MArray(
-                np.asfortranarray(np.full((1, 1), float(value))),
-                is_logical=True,
-            )
+            return MArray(np.array(float(value), ndmin=2), is_logical=True)
         value = complex(value)
         if value.imag == 0:
-            return MArray(np.asfortranarray(np.full((1, 1), value.real)))
-        return MArray(np.asfortranarray(np.full((1, 1), value)))
+            return MArray(np.array(value.real, ndmin=2))
+        return MArray(np.array(value, ndmin=2))
 
     @staticmethod
     def from_numpy(array: np.ndarray, is_logical: bool = False,
                    is_char: bool = False) -> "MArray":
+        if (
+            type(array) is np.ndarray
+            and array.dtype is _FLOAT64
+            and array.ndim == 2
+            and array.flags.f_contiguous
+        ):
+            # already in canonical form: the general path below would
+            # return this very array
+            return MArray(array, is_logical=is_logical, is_char=is_char)
         array = np.atleast_2d(np.asarray(array))
         if array.dtype == bool:
             array = array.astype(float)

@@ -13,6 +13,8 @@ import numpy as np
 from repro.runtime.errors import MatlabRuntimeError, ShapeConformanceError
 from repro.runtime.marray import MArray
 
+_ONE_BY_ONE = (1, 1)
+
 
 def _conform(a: MArray, b: MArray, op: str) -> None:
     if a.is_scalar or b.is_scalar:
@@ -29,6 +31,10 @@ def _wrap(result: np.ndarray, logical: bool = False) -> MArray:
 
 
 def _elementwise(a: MArray, b: MArray, fn, op: str) -> MArray:
+    x, y = a.data, b.data
+    if x.size == 1 and y.size == 1:
+        # 1×1 operands: the general path's last line, minus the checks
+        return MArray.from_numpy(fn(x, y))
     _conform(a, b, op)
     if a.is_scalar and not b.is_scalar:
         return _wrap(fn(a.scalar() if a.is_complex else a.scalar_real(),
@@ -132,6 +138,12 @@ def transpose(a: MArray, conjugate: bool) -> MArray:
 
 
 def _compare(a: MArray, b: MArray, fn, op: str) -> MArray:
+    x, y = a.data, b.data
+    if x.shape == _ONE_BY_ONE and y.shape == _ONE_BY_ONE:
+        # 1×1 operands: IEEE comparisons of the real parts give the
+        # same truth value on Python floats as on numpy arrays
+        truth = fn(x.item().real, y.item().real)
+        return MArray(np.array(float(truth), ndmin=2), is_logical=True)
     _conform(a, b, op)
     x = a.data.real if a.is_complex else a.data
     y = b.data.real if b.is_complex else b.data

@@ -21,6 +21,7 @@ proves S(u) ≤ S(v) when v's extents contain u's under ``max`` (the
 from __future__ import annotations
 
 import itertools
+import threading
 from dataclasses import dataclass
 from functools import reduce
 
@@ -50,12 +51,26 @@ class ValueDim:
 
 _fresh_counter = itertools.count()
 
-# When set, fresh dims are memoized per (context key, call index) so a
-# fixpoint engine re-running a transfer function gets the *same* dims
-# each pass — otherwise φ joins accumulate ever-growing max() terms.
-_fresh_context: dict | None = None
-_fresh_key: object = None
-_fresh_calls: int = 0
+
+class _FreshScope(threading.local):
+    """The calling thread's stable-fresh scope.
+
+    While a scope is open, fresh dims are memoized per (context key,
+    call index) so a fixpoint engine re-running a transfer function
+    gets the *same* dims each pass — otherwise φ joins accumulate
+    ever-growing max() terms.  Per thread, so concurrent compiles (the
+    server's worker threads) never read each other's scope; the ident
+    counter stays process-wide, so single-threaded numbering is as
+    before.  One attribute holds the whole scope: a thread-local read
+    costs several times a global one, and inference opens a scope for
+    every transfer.
+    """
+
+    #: (memo dict, context key, call-index counter), or None
+    state: tuple | None = None
+
+
+_fresh_scope = _FreshScope()
 
 
 @dataclass(frozen=True, slots=True)
@@ -68,10 +83,9 @@ class FreshDim:
 
 def set_fresh_context(cache: dict | None, key: object = None) -> None:
     """Enter (or, with ``cache=None``, leave) a stable-fresh scope."""
-    global _fresh_context, _fresh_key, _fresh_calls
-    _fresh_context = cache
-    _fresh_key = key
-    _fresh_calls = 0
+    _fresh_scope.state = (
+        None if cache is None else (cache, key, itertools.count())
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -88,14 +102,14 @@ Dim = ConstDim | ValueDim | FreshDim | OpDim
 
 
 def fresh_dim() -> FreshDim:
-    global _fresh_calls
-    if _fresh_context is not None:
-        memo_key = (_fresh_key, _fresh_calls)
-        _fresh_calls += 1
-        dim = _fresh_context.get(memo_key)
+    state = _fresh_scope.state
+    if state is not None:
+        cache, key, calls = state
+        memo_key = (key, next(calls))
+        dim = cache.get(memo_key)
         if dim is None:
             dim = FreshDim(next(_fresh_counter))
-            _fresh_context[memo_key] = dim
+            cache[memo_key] = dim
         return dim
     return FreshDim(next(_fresh_counter))
 

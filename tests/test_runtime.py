@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.runtime import ops
+from repro.runtime import indexing, ops
 from repro.runtime.builtins import RuntimeContext, call_builtin
 from repro.runtime.errors import (
     IndexError_,
@@ -367,3 +368,272 @@ class TestBuiltins:
         call_builtin(self.ctx, "tic", [])
         t = call_builtin(self.ctx, "toc", [])[0]
         assert t.scalar_real() >= 0
+
+
+# -- 1×1 fast paths ≡ general paths -------------------------------------
+
+#: subscript values: in range, out of range, and every malformed kind
+SUBSCRIPT_VALUES = (
+    [1.0, 2.0, 3.0, 4.0, 5.0, 7.0, 13.0]
+    + [0.0, -1.0, 1.5, -0.5, float("nan"), float("inf"), -float("inf")]
+    + [1e300, 2.0**63, 2.0**63 - 1024, 2 + 3j, 1j]
+)
+
+
+def _subscript(value, kind):
+    """A 1×1 subscript MArray of ``kind`` holding ``value``."""
+    if kind == "complex-raw":  # complex buffer, zero imaginary part
+        return MArray(np.array(complex(value), ndmin=2))
+    if kind == "char" and not isinstance(value, complex):
+        return MArray(np.array(value, ndmin=2), is_char=True)
+    return MArray.from_scalar(value)
+
+
+def _widened(sub):
+    """``[i i]``: the same subscript as a 1×2 vector (general path)."""
+    data = np.repeat(sub.data, 2, axis=1)
+    return MArray(np.asfortranarray(data), sub.is_logical, sub.is_char)
+
+
+def _source(shape, kind, seed):
+    values = np.random.default_rng(seed).choice(
+        [0.0, 1.0, -2.5, 3.0, 97.0, -0.0], size=int(np.prod(shape))
+    )
+    if kind == "complex":
+        # every other element has a zero imaginary part
+        values = values + 1j * np.array(
+            [0.0 if k % 2 else v for k, v in enumerate(values)]
+        )
+    data = np.asfortranarray(values.reshape(shape, order="F"))
+    if kind == "logical":
+        data = (data != 0).astype(float)
+    if kind == "complex-zero":  # complex buffer, all imaginary parts 0
+        return MArray(np.asfortranarray(data.astype(complex)))
+    return MArray.from_numpy(
+        data, is_logical=kind == "logical", is_char=kind == "char"
+    )
+
+
+shapes = st.lists(st.integers(0, 4), min_size=2, max_size=4).map(tuple)
+source_kinds = st.sampled_from(
+    ["double", "char", "logical", "complex", "complex-zero"]
+)
+element_seeds = st.integers(0, 2**16)
+subscripts = st.lists(
+    st.tuples(
+        st.sampled_from(SUBSCRIPT_VALUES),
+        st.sampled_from(["double", "char", "complex-raw"]),
+    ).map(lambda vk: _subscript(*vk)),
+    min_size=1, max_size=5,
+)
+
+
+def _outcome(fn):
+    """(kind, payload): an MArray's exact contents, or the error."""
+    try:
+        value = fn()
+    except Exception as exc:  # compared, not swallowed
+        return ("raise", type(exc), str(exc))
+    if value is None:
+        return ("fell through",)
+    return ("value", value.data.dtype, value.shape, value.data.tobytes(
+        order="F"), value.is_logical, value.is_char)
+
+
+def _first_element(fn):
+    """Element 1 of a general-path result, in the same exact form."""
+    try:
+        value = fn()
+    except Exception as exc:
+        return ("raise", type(exc), str(exc))
+    first = value.flat()[:1]
+    return ("value", first.dtype, first.tobytes(), value.is_logical,
+            value.is_char)
+
+
+def _general_subsref(a, subs):
+    if len(subs) == 1:
+        return indexing._subsref_linear(a, subs[0])
+    return indexing._subsref_nd(a, subs)
+
+
+def _general_subsasgn(a, rhs, subs):
+    if len(subs) == 1:
+        return indexing._subsasgn_linear(a, rhs, subs[0])
+    return indexing._subsasgn_nd(a, rhs, subs)
+
+
+class TestScalarFastPath:
+    """Each 1×1 fast path returns (or raises) exactly what the general
+    code it bypasses returns (or raises)."""
+
+    @settings(max_examples=300)
+    @given(shapes, source_kinds, element_seeds, subscripts)
+    def test_subsref_matches_general(self, shape, kind, seed, subs):
+        a = _source(shape, kind, seed)
+        fast = _outcome(lambda: indexing._subsref_scalar(a, subs))
+        assert fast[0] != "fell through"
+        assert fast == _outcome(lambda: subsref(a, subs))
+        assert fast == _outcome(lambda: _general_subsref(a, subs))
+        widened = [_widened(s) for s in subs]
+        general = _first_element(lambda: subsref(a, widened))
+        if fast[0] == "raise":
+            assert general == fast
+        else:
+            dtype, _shape, data, logical, char = fast[1:]
+            assert general == ("value", dtype, data, logical, char)
+
+    @settings(max_examples=300)
+    @given(
+        shapes | st.sampled_from([(0, 0), (1, 0), (0, 3), (1, 3), (4, 1)]),
+        st.sampled_from(["double", "char", "logical"]),
+        element_seeds,
+        subscripts,
+        st.sampled_from([5.0, -0.0, 0.0, float("nan"), 97.0]),
+        st.sampled_from(["double", "char", "logical"]),
+    )
+    def test_subsasgn_matches_general(
+        self, shape, kind, seed, subs, rhs_value, rhs_kind
+    ):
+        a = _source(shape, kind, seed)
+        rhs = MArray(
+            np.array(rhs_value, ndmin=2),
+            is_logical=rhs_kind == "logical",
+            is_char=rhs_kind == "char",
+        )
+        fast = _outcome(lambda: indexing._subsasgn_scalar(a, rhs, subs))
+        assert fast[0] != "fell through"
+        assert fast == _outcome(lambda: subsasgn(a, rhs, subs))
+        assert fast == _outcome(lambda: _general_subsasgn(a, rhs, subs))
+        widened = [_widened(s) for s in subs]
+        assert fast == _outcome(lambda: subsasgn(a, rhs, widened))
+        # value semantics: the source is never written through
+        assert a.data.tobytes(order="F") == _source(
+            shape, kind, seed
+        ).data.tobytes(order="F")
+
+    @pytest.mark.parametrize("value, message", [
+        (0.0, "subscripts must be positive integers or logicals"),
+        (-3.0, "subscripts must be positive integers or logicals"),
+        (1.5, "subscripts must be positive integers or logicals"),
+        (float("nan"), "subscripts must be positive integers or logicals"),
+        (float("inf"), "subscripts must be positive integers or logicals"),
+        (2 + 3j, "subscripts must be real"),
+        (1e300, "index 1e+300 exceeds the int64 subscript range"),
+        (5.0, "index 5 exceeds array numel 4"),
+    ])
+    def test_bad_subscripts_raise_typed_errors(self, value, message):
+        a = arr([[1, 2], [3, 4]])
+        sub = MArray.from_scalar(value)
+        for subs in ([sub], [_widened(sub)]):
+            with pytest.raises(IndexError_) as info:
+                subsref(a, subs)
+            assert str(info.value) == message
+        if value == 5.0:
+            return  # reading past the end is an error; writing grows
+        for subs in ([sub], [_widened(sub)]):
+            with pytest.raises(IndexError_) as info:
+                subsasgn(a, scalar(5), subs)
+            assert str(info.value) == message
+
+    def test_growth_of_empty_vector_and_matrix(self):
+        cases = [
+            (MArray.empty(), [scalar(3)], (1, 3)),
+            (arr([[1, 2]]), [scalar(4)], (1, 4)),
+            (arr([[1], [2]]), [scalar(4)], (4, 1)),
+            (arr([[1, 2], [3, 4]]), [scalar(3), scalar(5)], (3, 5)),
+            (MArray.empty(), [scalar(2), scalar(3)], (2, 3)),
+            (arr([[1, 2], [3, 4]]), [scalar(1), scalar(1), scalar(2)],
+             (2, 2, 2)),
+        ]
+        for a, subs, shape in cases:
+            fast = indexing._subsasgn_scalar(a, scalar(9), subs)
+            assert fast.shape == shape
+            assert _outcome(lambda: fast) == _outcome(
+                lambda: _general_subsasgn(a, scalar(9), subs)
+            )
+
+
+#: each op with today's code path for two 1×1 operands, written out
+def _elpow_reference(x, y):
+    if not (np.iscomplexobj(x) or np.iscomplexobj(y)) and (
+        np.any(x < 0) and np.any(y % 1 != 0)
+    ):
+        x = x.astype(complex)
+    return np.power(x, y)
+
+
+def _real(x):
+    return x.real if np.iscomplexobj(x) else x
+
+
+OP_REFERENCES = {
+    "add": lambda x, y: x + y,
+    "sub": lambda x, y: x - y,
+    "elmul": lambda x, y: x * y,
+    "mul": lambda x, y: x * y,
+    "eldiv": lambda x, y: x / y,
+    "div": lambda x, y: x / y,
+    "elldiv": lambda x, y: y / x,
+    "ldiv": lambda x, y: y / x,
+    "elpow": _elpow_reference,
+    "pow_": _elpow_reference,
+    "lt": lambda x, y: _real(x) < _real(y),
+    "le": lambda x, y: _real(x) <= _real(y),
+    "gt": lambda x, y: _real(x) > _real(y),
+    "ge": lambda x, y: _real(x) >= _real(y),
+    "and_": lambda x, y: (_real(x) != 0) & (_real(y) != 0),
+    "or_": lambda x, y: (_real(x) != 0) | (_real(y) != 0),
+}
+
+OPERAND_VALUES = [
+    0.0, -0.0, 1.0, -1.0, 2.5, -8.0, 1 / 3, 0.5, 3.0, 97.0,
+    float("nan"), float("inf"), -float("inf"), 1e308, 2 + 3j, -1j,
+]
+
+
+def _operand(value, kind):
+    if kind == "logical":
+        return MArray(np.array(float(value != 0), ndmin=2), is_logical=True)
+    if kind == "char" and not isinstance(value, complex):
+        return MArray(np.array(abs(value), ndmin=2), is_char=True)
+    if kind == "complex-raw":
+        return MArray(np.array(complex(value), ndmin=2))
+    return MArray.from_scalar(value)
+
+
+operands = st.tuples(
+    st.sampled_from(OPERAND_VALUES),
+    st.sampled_from(["double", "logical", "char", "complex-raw"]),
+).map(lambda vk: _operand(*vk))
+
+
+class TestScalarOps:
+    @settings(max_examples=300)
+    @given(st.sampled_from(sorted(OP_REFERENCES)), operands, operands)
+    def test_ops_match_numpy_path(self, name, a, b):
+        with np.errstate(all="ignore"):
+            expected = MArray.from_numpy(
+                OP_REFERENCES[name](a.data, b.data)
+            )
+            actual = getattr(ops, name)(a, b)
+        assert actual.data.dtype == expected.data.dtype
+        assert actual.shape == expected.shape
+        assert actual.data.tobytes() == expected.data.tobytes()
+        assert (actual.is_logical, actual.is_char, actual.is_complex) == (
+            expected.is_logical, expected.is_char, expected.is_complex
+        )
+
+    def test_divide_by_zero_and_negative_base_power(self):
+        with np.errstate(all="ignore"):
+            assert ops.eldiv(scalar(1.0), scalar(0.0)).scalar_real() \
+                == np.inf
+            assert np.isnan(ops.eldiv(scalar(0.0), scalar(0.0)).scalar_real())
+            assert ops.eldiv(scalar(-1.0), scalar(0.0)).scalar_real() \
+                == -np.inf
+        root = ops.elpow(scalar(-8.0), scalar(1 / 3))
+        assert root.is_complex
+        assert root.data.tobytes() == np.power(
+            np.array([[-8.0 + 0j]]), 1 / 3
+        ).tobytes()
+        assert not ops.elpow(scalar(-8.0), scalar(2.0)).is_complex

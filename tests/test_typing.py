@@ -1,8 +1,12 @@
 """Unit tests for the type/shape inference engine."""
 
 import math
+import sys
+import threading
 
 from repro.analysis.pass_manager import run_cleanup_pipeline
+from repro.bench.suite import load_sources
+from repro.compiler.pipeline import compile_program
 from repro.frontend.parser import parse_program
 from repro.ir.lower import lower_program
 from repro.ssa.construct import base_name, construct_ssa
@@ -279,3 +283,58 @@ class TestShapeFolding:
             i for i in func.instructions() if i.op == "call:size"
         ]
         assert len(still_calls) == len(size_calls)
+
+
+class TestConcurrentFreshScope:
+    """Threads inferring at once must not share a fresh-dim scope."""
+
+    PROGRAMS = ("capr", "edit", "fdtd", "nb1d")
+
+    @staticmethod
+    def _compile(name):
+        return compile_program(load_sources(name), f"{name}_drv")
+
+    @staticmethod
+    def _plan_fields(result):
+        plan = result.plan
+        return (plan.groups, plan.group_of, plan.resize_marks, plan.stats)
+
+    def test_concurrent_compiles_match_serial(self):
+        serial = {
+            name: self._plan_fields(self._compile(name))
+            for name in self.PROGRAMS
+        }
+        rounds = 3
+        results = {name: [] for name in self.PROGRAMS}
+        errors = []
+        start = threading.Barrier(len(self.PROGRAMS))
+
+        def work(name):
+            try:
+                start.wait(timeout=30)
+                for _ in range(rounds):
+                    results[name].append(
+                        self._plan_fields(self._compile(name))
+                    )
+            except Exception as exc:  # reported below
+                errors.append(f"{name}: {exc!r}")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=work, args=(name,))
+                for name in self.PROGRAMS
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        for name in self.PROGRAMS:
+            assert len(results[name]) == rounds
+            for fields in results[name]:
+                assert fields == serial[name], name
