@@ -28,7 +28,6 @@ from repro.runtime.builtins import RuntimeContext
 from repro.runtime.marray import MArray
 
 from repro.vm.base import BaseIRExecutor
-from repro.vm.work import computation_work
 
 MXARRAY_HEADER_BYTES = 88  # mcc 2.2's struct size (paper §4.4)
 
@@ -52,6 +51,33 @@ class _Box:
     refs: int = 1
 
 
+#: how an instruction that does not fold is charged (``_Facts.kind``)
+_COPY = "copy"          # copy-on-write share
+_CONST = "const"        # a type check; the box is charged on store
+_LIBRARY = "library"    # a library call with per-operand checks
+
+
+@dataclass(frozen=True, slots=True)
+class _Facts:
+    """What the mcc model knows about one instruction before it runs."""
+
+    never_folds: bool
+    kind: str
+    #: call overhead plus one type check per operand
+    library_base: float
+    #: the copied variable whose box a ``copy`` shares
+    shares: str | None
+    #: names of the Var operands
+    var_args: tuple[str, ...]
+
+
+def _all_scalar(values) -> bool:
+    for value in values:
+        if value.data.size != 1:
+            return False
+    return True
+
+
 class MccExecutor(BaseIRExecutor):
     def __init__(
         self,
@@ -73,7 +99,19 @@ class MccExecutor(BaseIRExecutor):
             ),
         )
         self._box_of: dict[str, _Box] = {}
-        self._liveness = compute_liveness(func)
+        # per block: the compiler temporaries not live out of it
+        live_out = compute_liveness(func).live_out
+        temps = {
+            name
+            for block in func.blocks.values()
+            for instr in block.instrs
+            for name in instr.results
+            if "$" in name
+        }
+        self._dead_temps = {
+            block_id: temps - live_out.get(block_id, set())
+            for block_id in func.blocks
+        }
 
     # ------------------------------------------------------------------
 
@@ -111,52 +149,76 @@ class MccExecutor(BaseIRExecutor):
             self.heap.free(box.addr)
             self.clock += self.costs.mxarray_free + self.costs.free_call
 
-    @staticmethod
-    def _scalar_foldable(instr: Instr, args, results) -> bool:
-        """mcc folds all-scalar arithmetic to native doubles at compile
-        time (paper §4.4: only scalars that *don't* get folded are
-        boxed) — this is why adpt's speedup is marginal in Figure 5."""
-        if instr.is_call or instr.op in ("subsref", "subsasgn", "display"):
-            return False
-        if any(isinstance(a, MArray) and not a.is_scalar for a in args):
-            return False
-        return all(r.is_scalar for r in results)
+    def decode(self, instr: Instr) -> _Facts:
+        op = instr.op
+        costs = self.costs
+        if op == "copy":
+            kind = _COPY
+        elif op == "const":
+            kind = _CONST
+        else:
+            kind = _LIBRARY
+        return _Facts(
+            # mcc folds all-scalar arithmetic to native doubles at
+            # compile time (paper §4.4: only scalars that *don't* get
+            # folded are boxed) — this is why adpt's speedup is
+            # marginal in Figure 5.  Calls, indexing and display never
+            # fold.
+            never_folds=(
+                op.startswith("call:")
+                or op in ("subsref", "subsasgn", "display")
+            ),
+            kind=kind,
+            library_base=(
+                costs.library_call
+                + costs.type_check * max(1, len(instr.args))
+            ),
+            shares=(
+                instr.args[0].name
+                if op == "copy" and isinstance(instr.args[0], Var)
+                else None
+            ),
+            var_args=tuple(instr.used_vars()),
+        )
 
-    def define(self, name: str, value: MArray, instr: Instr) -> None:
-        super().define(name, value, instr)
-        if name in self._box_of:
-            self._release(name)  # reassignment frees the old value
-        if self._scalar_foldable(instr, [
-            self.env.get(a.name) if isinstance(a, Var) else None
-            for a in instr.args
-        ], [value]):
-            return  # lives in a C double, not an mxArray
-        if instr.op == "copy" and isinstance(instr.args[0], Var):
-            # copy-on-write: share the source's box
-            src_box = self._box_of.get(instr.args[0].name)
-            if src_box is not None:
-                src_box.refs += 1
-                self._box_of[name] = src_box
-                self.clock += self.costs.cow_share
-                return
-        self._allocate_box(name, value)
-
-    def account(self, instr, args, results) -> None:
-        work = computation_work(instr, args, results)
-        operands = len(instr.args)
-        if self._scalar_foldable(instr, args, results):
-            self.clock += self.costs.element_op * work
-        elif instr.op == "copy":
-            self.clock += self.costs.cow_share
-        elif instr.op == "const":
+    def commit(self, step, args, results) -> None:
+        env = self.env
+        facts = step.facts
+        box_of = self._box_of
+        for name, value in zip(step.writes, results):
+            env[name] = value
+            if name in box_of:
+                self._release(name)  # reassignment frees the old value
+            # decided on the environment as just written: in x = x + 1
+            # the operand x is the new value
+            if not facts.never_folds and value.data.size == 1 and (
+                _all_scalar(map(env.__getitem__, facts.var_args))
+            ):
+                continue  # lives in a C double, not an mxArray
+            if facts.shares is not None:
+                # copy-on-write: share the source's box
+                src_box = box_of.get(facts.shares)
+                if src_box is not None:
+                    src_box.refs += 1
+                    box_of[name] = src_box
+                    self.clock += self.costs.cow_share
+                    continue
+            self._allocate_box(name, value)
+        costs = self.costs
+        if not facts.never_folds and _all_scalar(args) and _all_scalar(
+            results
+        ):
+            self.clock += costs.element_op * step.work(args, results)
+        elif facts.kind is _COPY:
+            self.clock += costs.cow_share
+        elif facts.kind is _CONST:
             # mcc boxes run-time scalars as 1×1 mxArrays (paper §4.4);
-            # creation cost is charged in define()
-            self.clock += self.costs.type_check
+            # creation cost is charged when the result is stored
+            self.clock += costs.type_check
         else:
             self.clock += (
-                self.costs.library_call
-                + self.costs.type_check * max(1, operands)
-                + self.costs.element_op * work
+                facts.library_base
+                + costs.element_op * step.work(args, results)
             )
         self.meter.sample(self.clock)
 
@@ -164,10 +226,9 @@ class MccExecutor(BaseIRExecutor):
         # mxArrays created within library calls are deallocated right
         # after their last use (§4.4) — compiler temporaries, in our
         # IR.  *Named* user variables persist until reassigned.
-        live_out = self._liveness.live_out.get(block_id, set())
-        for name in list(self._box_of):
-            if name not in live_out and "$" in name:
-                self._release(name)
+        dead = self._dead_temps[block_id]
+        for name in [name for name in self._box_of if name in dead]:
+            self._release(name)
         self.meter.sample(self.clock)
 
     def build_report(self) -> MemoryReport:

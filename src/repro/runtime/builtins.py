@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.runtime.errors import MatlabRuntimeError
-from repro.runtime.marray import MArray
+from repro.runtime.marray import MArray, allocate
 
 
 @dataclass(slots=True)
@@ -72,12 +72,16 @@ def _dims_from_args(args: list[MArray]) -> tuple[int, ...]:
 
 @builtin("zeros")
 def _zeros(ctx, args, nargout):
-    return [MArray.from_numpy(np.zeros(_dims_from_args(args), order="F"))]
+    return [MArray.from_numpy(
+        allocate(np.zeros, _dims_from_args(args), order="F")
+    )]
 
 
 @builtin("ones")
 def _ones(ctx, args, nargout):
-    return [MArray.from_numpy(np.ones(_dims_from_args(args), order="F"))]
+    return [MArray.from_numpy(
+        allocate(np.ones, _dims_from_args(args), order="F")
+    )]
 
 
 @builtin("eye")
@@ -86,8 +90,10 @@ def _eye(ctx, args, nargout):
     if len(dims) != 2:
         raise MatlabRuntimeError("eye expects at most two extents")
     return [
-        MArray.from_numpy(np.eye(dims[0], dims[1], order="F"),
-                          is_logical=True)
+        MArray.from_numpy(
+            allocate(lambda shape: np.eye(*shape, order="F"), dims),
+            is_logical=True,
+        )
     ]
 
 
@@ -95,7 +101,7 @@ def _eye(ctx, args, nargout):
 def _rand(ctx, args, nargout):
     dims = _dims_from_args(args)
     return [MArray.from_numpy(
-        np.asfortranarray(ctx.rng.random(dims))
+        np.asfortranarray(allocate(ctx.rng.random, dims))
     )]
 
 
@@ -103,7 +109,7 @@ def _rand(ctx, args, nargout):
 def _randn(ctx, args, nargout):
     dims = _dims_from_args(args)
     return [MArray.from_numpy(
-        np.asfortranarray(ctx.rng.standard_normal(dims))
+        np.asfortranarray(allocate(ctx.rng.standard_normal, dims))
     )]
 
 

@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from repro.runtime.errors import IndexError_, MatlabRuntimeError
-from repro.runtime.marray import MArray
+from repro.runtime.marray import MArray, allocate
 
 COLON = ":"
 
@@ -246,7 +246,7 @@ def _subsasgn_scalar(a: MArray, rhs: MArray, subs: list) -> MArray | None:
             raise IndexError_(
                 "linear index out of range for a non-vector array"
             )
-        flat = np.zeros(i + 1)
+        flat = allocate(np.zeros, (i + 1,))
         flat[: data.size] = a.flat()
         flat[i] = value
         return MArray.from_numpy(flat.reshape(shape, order="F"), **flags)
@@ -259,7 +259,7 @@ def _subsasgn_scalar(a: MArray, rhs: MArray, subs: list) -> MArray | None:
         index.append(i)
     new_shape = tuple(max(e, i + 1) for e, i in zip(old_shape, index))
     if new_shape != old_shape:
-        out = np.zeros(new_shape, order="F")
+        out = allocate(np.zeros, new_shape, order="F")
         if data.size:
             out[tuple(slice(0, e) for e in old_shape)] = data.reshape(
                 old_shape, order="F"
@@ -295,7 +295,7 @@ def _subsasgn_linear(a: MArray, rhs: MArray, sub) -> MArray:
             raise IndexError_(
                 "linear index out of range for a non-vector array"
             )
-        grown = np.zeros(needed, dtype=flat.dtype)
+        grown = allocate(np.zeros, (needed,), dtype=flat.dtype)
         grown[: flat.size] = flat
         flat = grown
     if rhs.is_scalar:
@@ -326,7 +326,9 @@ def _subsasgn_nd(a: MArray, rhs: MArray, subs: list) -> MArray:
             new_shape[k] = max(new_shape[k], int(iv.max()) + 1)
     dtype = complex if (a.is_complex or rhs.is_complex) else float
     if tuple(new_shape) != old_shape or dtype != a.data.dtype:
-        expanded = np.zeros(tuple(new_shape), dtype=dtype, order="F")
+        expanded = allocate(
+            np.zeros, tuple(new_shape), dtype=dtype, order="F"
+        )
         if a.numel:
             expanded[tuple(slice(0, e) for e in old_shape)] = (
                 a.data.reshape(old_shape, order="F")

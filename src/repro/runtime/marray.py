@@ -97,7 +97,7 @@ class MArray:
 
     @property
     def is_complex(self) -> bool:
-        return np.iscomplexobj(self.data)
+        return self.data.dtype.kind == "c"
 
     def scalar(self) -> complex:
         if not self.is_scalar:
@@ -143,6 +143,29 @@ class MArray:
             "complex" if self.is_complex else "double"
         )
         return f"MArray({kind}, {self.shape})"
+
+
+def allocate(make, shape: tuple[int, ...], **kwargs) -> np.ndarray:
+    """``make(shape, **kwargs)`` for a numpy array constructor such as
+    ``np.zeros`` or a generator's ``random``.
+
+    A shape numpy cannot allocate (``a(2^62) = 5``) raises
+    ``MatlabRuntimeError("out of memory: …")`` instead of numpy's
+    ``ValueError``/``MemoryError``.  No size is refused up front: the
+    limit is whatever numpy and the host can hold.
+    """
+    try:
+        return make(shape, **kwargs)
+    except (ValueError, MemoryError):
+        if min(shape, default=0) < 0:
+            raise  # numpy's "negative dimensions", not a size problem
+        size = (
+            f"{shape[0]}-element" if len(shape) == 1
+            else "x".join(str(d) for d in shape)
+        )
+        raise MatlabRuntimeError(
+            f"out of memory: cannot allocate a {size} array"
+        ) from None
 
 
 def as_marray(value) -> MArray:

@@ -33,7 +33,6 @@ from repro.runtime.builtins import RuntimeContext
 from repro.runtime.marray import MArray
 
 from repro.vm.base import BaseIRExecutor
-from repro.vm.work import computation_work
 
 #: fixed text+data of a mat2c binary, plus per-instruction inlined code
 MAT2C_IMAGE_BASE = 400 * 1024
@@ -47,6 +46,27 @@ FRAME_OVERHEAD_BYTES = 512
 class _HeapBuffer:
     addr: int
     size: int
+
+
+#: cost classes of an instruction (``_Facts.kind``)
+_FOLDED = "folded copy"        # same-group copy: no code at all
+_MOVE = "cross-group copy"     # copy between groups: the bytes move
+_INDEXED = "indexing"          # subsref/subsasgn: rate * max(1, work)
+_LIBRARY = "library call"      # display/disp/fprintf: a call + work
+_SCALAR = "scalar"             # everything else: rate * work
+
+
+@dataclass(frozen=True, slots=True)
+class _Facts:
+    """What the plan settles about one instruction before it runs."""
+
+    kind: str
+    #: cycles per unit of work (``_INDEXED``/``_SCALAR``)
+    rate: float
+    #: per result: ``(gid, resize mark)`` of its heap group, or ``None``
+    heap: tuple[tuple[int, str] | None, ...]
+    #: heap group whose buffer the first result is written into
+    touch: int | None
 
 
 class Mat2CExecutor(BaseIRExecutor):
@@ -96,23 +116,81 @@ class Mat2CExecutor(BaseIRExecutor):
         self.clock += 1.0
         self.meter.sample(self.clock)
 
-    def _slot(self, name: str) -> str:
+    def env_key(self, name: str) -> str:
+        if not self.aliased:
+            return name
         gid = self.plan.group_of.get(name)
         return f"@group{gid}" if gid is not None else name
 
-    def define(self, name: str, value: MArray, instr: Instr) -> None:
-        if self.aliased:
-            self.env[self._slot(name)] = value
+    def decode(self, instr: Instr) -> _Facts:
+        plan, costs = self.plan, self.costs
+        rate = costs.scalar_op
+        op = instr.op
+        if op == "copy" and isinstance(instr.args[0], Var):
+            # identity assignments were folded away by the C back end
+            kind = (
+                _FOLDED
+                if plan.same_storage(instr.args[0].name, instr.results[0])
+                else _MOVE
+            )
+        elif op == "subsref":
+            kind, rate = _INDEXED, costs.subsref_compiled
+        elif op == "subsasgn":
+            kind, rate = _INDEXED, costs.subsasgn_compiled
+        elif op in ("display", "call:disp", "call:fprintf"):
+            kind = _LIBRARY
         else:
-            super().define(name, value, instr)
-        gid = self.plan.group_of.get(name)
-        if gid is None:
+            kind = _SCALAR
+        heap = []
+        for name in instr.results:
+            gid = plan.group_of.get(name)
+            if gid is None or plan.groups[gid].is_stack:
+                # unplanned, or frame space preallocated and fixed
+                heap.append(None)
+            else:
+                heap.append((gid, plan.resize_marks.get(name, MAY_RESIZE)))
+        return _Facts(
+            kind=kind,
+            rate=rate,
+            heap=tuple(heap),
+            # only heap groups ever get a buffer to touch
+            touch=heap[0][0] if heap and heap[0] is not None else None,
+        )
+
+    def commit(self, step, args, results) -> None:
+        env = self.env
+        facts = step.facts
+        for key, value, heap in zip(step.writes, results, facts.heap):
+            env[key] = value
+            if heap is not None:
+                self._resize(heap, value)
+        kind = facts.kind
+        if kind is _FOLDED:
             return
-        group = self.plan.groups[gid]
-        if group.is_stack:
-            return  # frame space is preallocated and fixed
+        costs = self.costs
+        if kind is _MOVE:
+            # cross-group copy: move the bytes
+            self.clock += costs.element_copy * results[0].numel + 2.0
+        elif kind is _SCALAR:
+            self.clock += facts.rate * step.work(args, results)
+        elif kind is _INDEXED:
+            self.clock += facts.rate * max(1.0, step.work(args, results))
+        else:
+            self.clock += costs.library_call + step.work(args, results)
+        gid = facts.touch
+        if gid is not None and results:
+            buffer = self._buffers.get(gid)
+            if buffer is not None:
+                self.heap.touch_bytes(buffer.addr, min(
+                    buffer.size, results[0].byte_size() or 1
+                ))
+        self.meter.sample(self.clock)
+
+    def _resize(self, heap: tuple[int, str], value: MArray) -> None:
+        """Fit a heap group's buffer to a member's new value (§3.2.2);
+        ``heap`` is the member's ``(gid, resize mark)``."""
+        gid, mark = heap
         need = value.byte_size()
-        mark = self.plan.resize_marks.get(name, MAY_RESIZE)
         buffer = self._buffers.get(gid)
         if buffer is None:
             addr = self.heap.malloc(max(need, 8))
@@ -133,52 +211,6 @@ class Mat2CExecutor(BaseIRExecutor):
             new_addr, _ = self.heap.realloc(buffer.addr, max(need, 8))
             buffer.addr, buffer.size = new_addr, max(need, 8)
             self.clock += self.costs.realloc_base * 0.25
-
-    def _operand_value(self, operand):
-        if self.aliased and isinstance(operand, Var):
-            slot = self._slot(operand.name)
-            if slot in self.env:
-                return self.env[slot]
-        return super()._operand_value(operand)
-
-    def account(self, instr, args, results) -> None:
-        if instr.op == "copy" and isinstance(instr.args[0], Var):
-            src = instr.args[0].name
-            dst = instr.results[0]
-            if self.plan.same_storage(src, dst):
-                return  # identity assignment: folded away
-            # cross-group copy: move the bytes
-            self.clock += (
-                self.costs.element_copy * results[0].numel + 2.0
-            )
-            self._touch_write(dst, results)
-            self.meter.sample(self.clock)
-            return
-        work = computation_work(instr, args, results)
-        op = instr.op
-        if op == "subsref":
-            self.clock += self.costs.subsref_compiled * max(1.0, work)
-        elif op == "subsasgn":
-            self.clock += self.costs.subsasgn_compiled * max(1.0, work)
-        elif op == "display" or (
-            instr.is_call and instr.callee in ("disp", "fprintf")
-        ):
-            self.clock += self.costs.library_call + work
-        else:
-            self.clock += self.costs.scalar_op * work
-        if results:
-            self._touch_write(instr.results[0], results)
-        self.meter.sample(self.clock)
-
-    def _touch_write(self, name: str, results: list[MArray]) -> None:
-        gid = self.plan.group_of.get(name)
-        if gid is None:
-            return
-        buffer = self._buffers.get(gid)
-        if buffer is not None:
-            self.heap.touch_bytes(buffer.addr, min(
-                buffer.size, results[0].byte_size() or 1
-            ))
 
     def build_report(self) -> MemoryReport:
         return self.meter.report()

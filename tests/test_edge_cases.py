@@ -181,6 +181,34 @@ class TestErrorPaths:
         with pytest.raises(MatlabRuntimeError, match="shape"):
             result.run_mat2c()
 
+    # sizes numpy rejects before allocating anything, so these tests
+    # never take real memory
+    @pytest.mark.parametrize("text,size", [
+        ("a = 1; a(2^62) = 5; disp(a(1));", "4611686018427387904-element"),
+        ("a = []; a(2^62) = 5; disp(a(1));", "4611686018427387904-element"),
+        ("a = ones(2); a(2^62, [1 2]) = 5; disp(a(1));",
+         "4611686018427387904x2"),
+        ("a = ones(2); a(2^62, 3) = 5; disp(a(1));", "4611686018427387904x3"),
+        ("z = zeros(2^62, 1); disp(z(1));", "4611686018427387904x1"),
+        ("z = ones(2^62, 1); disp(z(1));", "4611686018427387904x1"),
+        ("z = rand(2^62, 2); disp(z(1));", "4611686018427387904x2"),
+        ("z = eye(2^62); disp(z(1));",
+         "4611686018427387904x4611686018427387904"),
+    ])
+    def test_unallocatable_array_is_out_of_memory(self, text, size):
+        result = compile_source(text)
+        runs = {
+            "mat2c": result.run_mat2c,
+            "mcc": result.run_mcc,
+            "interpreter": result.run_interpreter,
+        }
+        for model, execute in runs.items():
+            with pytest.raises(MatlabRuntimeError) as info:
+                execute(RuntimeContext(seed=1))
+            assert str(info.value) == (
+                f"out of memory: cannot allocate a {size} array"
+            ), model
+
 
 class TestDisplayFormats:
     def test_integer_scalar(self):

@@ -69,6 +69,49 @@ class TestWorkEstimator:
         )
         assert work >= grown.numel  # the old elements were copied
 
+    # exact values of the estimator as it stood before op classes were
+    # chosen at decode time: executors add them into the pinned clocks
+    def test_multi_result_call_takes_largest_operand(self):
+        instr = Instr(op="call:max", results=["m", "i"])
+        work = computation_work(
+            instr, [self.matrix(3, 4)], [self.matrix(1, 4), self.matrix(1, 4)]
+        )
+        assert work == 12.0
+
+    def test_multi_result_cheap_call(self):
+        instr = Instr(op="call:size", results=["m", "n"])
+        work = computation_work(
+            instr, [self.matrix(3, 4)], [self.scalar(3), self.scalar(4)]
+        )
+        assert work == 1.0
+
+    def test_elpow_is_transcendental_per_result_element(self):
+        instr = Instr(op="elpow", results=["x"])
+        work = computation_work(
+            instr, [self.matrix(2, 3), self.scalar(2)], [self.matrix(2, 3)]
+        )
+        assert work == 900.0
+
+    def test_transcendental_and_slowish_calls(self):
+        exp = Instr(op="call:exp", results=["x"])
+        sqrt = Instr(op="call:sqrt", results=["x"])
+        assert computation_work(
+            exp, [self.matrix(3, 3)], [self.matrix(3, 3)]
+        ) == 1350.0
+        assert computation_work(
+            sqrt, [self.matrix(1, 5)], [self.matrix(1, 5)]
+        ) == 125.0
+
+    def test_expanding_subsasgn_exact(self):
+        instr = Instr(op="subsasgn", results=["x"])
+        work = computation_work(
+            instr,
+            [self.matrix(2, 2), self.scalar(), self.scalar(4),
+             self.scalar(4)],
+            [self.matrix(4, 4)],
+        )
+        assert work == 17.0  # one element stored + 16 copied
+
     def test_solve_work_cubic(self):
         instr = Instr(op="ldiv", results=["x"])
         work = computation_work(
