@@ -59,12 +59,14 @@ def call_builtin(ctx, name, args, nargout=1) -> list[MArray]:
 
 
 def _dims_from_args(args: list[MArray]) -> tuple[int, ...]:
+    """Extents of ``zeros(n)``/``ones(m, n, …)``/…; MATLAB clamps a
+    negative extent to 0, so ``zeros(-1)`` is 0×0."""
     if not args:
         return (1, 1)
     if len(args) == 1:
-        n = args[0].scalar_int()
+        n = max(args[0].scalar_int(), 0)
         return (n, n)
-    return tuple(a.scalar_int() for a in args)
+    return tuple(max(a.scalar_int(), 0) for a in args)
 
 
 # -- constructors -------------------------------------------------------

@@ -132,11 +132,7 @@ def _subsref_scalar(a: MArray, subs: list) -> MArray | None:
     value = data.T.item(offset)  # C order over .T is F order over data
     if type(value) is complex and value.imag == 0:
         value = value.real
-    return MArray(
-        np.array(value, ndmin=max(m, 2)),
-        is_logical=a.is_logical,
-        is_char=a.is_char,
-    )
+    return MArray(np.array(value, ndmin=max(m, 2)), a.is_logical, a.is_char)
 
 
 def _subsref_linear(a: MArray, sub) -> MArray:
@@ -237,7 +233,7 @@ def _subsasgn_scalar(a: MArray, rhs: MArray, subs: list) -> MArray | None:
         if i < data.size:
             out = data.copy(order="F")
             out.T.flat[i] = value  # C order over .T is F order over out
-            return MArray(out, **flags)
+            return MArray(out, *flags)
         if a.is_empty:
             shape = (1, i + 1)
         elif a.is_vector:
@@ -249,7 +245,7 @@ def _subsasgn_scalar(a: MArray, rhs: MArray, subs: list) -> MArray | None:
         flat = allocate(np.zeros, (i + 1,))
         flat[: data.size] = a.flat()
         flat[i] = value
-        return MArray.from_numpy(flat.reshape(shape, order="F"), **flags)
+        return MArray.from_numpy(flat.reshape(shape, order="F"), *flags)
     old_shape = _padded_shape(data.shape, m)
     index = []
     for sub in subs:
@@ -267,14 +263,12 @@ def _subsasgn_scalar(a: MArray, rhs: MArray, subs: list) -> MArray | None:
     else:
         out = data.reshape(old_shape, order="F").copy(order="F")
     out[tuple(index)] = value
-    return MArray.from_numpy(out, **flags)
+    return MArray.from_numpy(out, *flags)
 
 
-def _result_flags(a: MArray, rhs: MArray) -> dict:
-    return {
-        "is_logical": a.is_logical and rhs.is_logical,
-        "is_char": a.is_char and rhs.is_char,
-    }
+def _result_flags(a: MArray, rhs: MArray) -> tuple[bool, bool]:
+    """``(is_logical, is_char)`` of an assignment's result."""
+    return (a.is_logical and rhs.is_logical, a.is_char and rhs.is_char)
 
 
 def _subsasgn_linear(a: MArray, rhs: MArray, sub) -> MArray:
@@ -311,7 +305,7 @@ def _subsasgn_linear(a: MArray, rhs: MArray, sub) -> MArray:
         flat = flat.astype(complex)
     flat[idx] = values
     result = flat.reshape(shape, order="F")
-    return MArray.from_numpy(result, **_result_flags(a, rhs))
+    return MArray.from_numpy(result, *_result_flags(a, rhs))
 
 
 def _subsasgn_nd(a: MArray, rhs: MArray, subs: list) -> MArray:
@@ -351,4 +345,4 @@ def _subsasgn_nd(a: MArray, rhs: MArray, subs: list) -> MArray:
         data[np.ix_(*index_vectors)] = rhs.flat().reshape(
             expected, order="F"
         )
-    return MArray.from_numpy(data, **_result_flags(a, rhs))
+    return MArray.from_numpy(data, *_result_flags(a, rhs))

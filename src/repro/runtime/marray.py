@@ -10,8 +10,6 @@ representation from the inferred intrinsic type.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.runtime.errors import MatlabRuntimeError
@@ -19,19 +17,59 @@ from repro.runtime.errors import MatlabRuntimeError
 _FLOAT64 = np.dtype(np.float64)
 
 
-@dataclass(frozen=True, slots=True)
 class MArray:
-    data: np.ndarray          # ≥2-D, Fortran order
-    is_logical: bool = False
-    is_char: bool = False
+    """An immutable MATLAB value: ``data`` (≥2-D, Fortran order) plus
+    the ``is_logical``/``is_char`` class flags.
+
+    Hand-written rather than a frozen dataclass, whose generated
+    ``__init__`` pays an ``object.__setattr__`` per field: a benchmark
+    sweep builds about a million values.  The contract is a frozen
+    dataclass's: no attribute can be assigned or deleted, pickling and
+    ``copy`` go through :meth:`__reduce__`, and ``==``/``hash`` compare
+    and hash the field tuple (so hashing raises for the ndarray).
+    """
+
+    __slots__ = ("data", "is_logical", "is_char")
+
+    data: np.ndarray
+    is_logical: bool
+    is_char: bool
+
+    def __init__(self, data: np.ndarray, is_logical: bool = False,
+                 is_char: bool = False) -> None:
+        _set_data(self, data)
+        _set_logical(self, is_logical)
+        _set_char(self, is_char)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (MArray, (self.data, self.is_logical, self.is_char))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.data, self.is_logical, self.is_char) == (
+            other.data, other.is_logical, other.is_char
+        )
+
+    def __hash__(self):
+        return hash((self.data, self.is_logical, self.is_char))
 
     # -- constructors --------------------------------------------------
 
     @staticmethod
     def from_scalar(value: complex | float | int | bool) -> "MArray":
         # a 1×1 array is both C- and Fortran-contiguous as built
+        if type(value) is float:
+            # the bits complex(value).real would give, -0.0 and NaN too
+            return MArray(np.array(value, ndmin=2))
         if isinstance(value, bool):
-            return MArray(np.array(float(value), ndmin=2), is_logical=True)
+            return MArray(np.array(float(value), ndmin=2), True)
         value = complex(value)
         if value.imag == 0:
             return MArray(np.array(value.real, ndmin=2))
@@ -48,7 +86,7 @@ class MArray:
         ):
             # already in canonical form: the general path below would
             # return this very array
-            return MArray(array, is_logical=is_logical, is_char=is_char)
+            return MArray(array, is_logical, is_char)
         array = np.atleast_2d(np.asarray(array))
         if array.dtype == bool:
             array = array.astype(float)
@@ -57,9 +95,7 @@ class MArray:
             array = array.astype(float)
         if np.iscomplexobj(array) and np.all(array.imag == 0):
             array = array.real.copy(order="F")
-        return MArray(
-            np.asfortranarray(array), is_logical=is_logical, is_char=is_char
-        )
+        return MArray(np.asfortranarray(array), is_logical, is_char)
 
     @staticmethod
     def from_string(text: str) -> "MArray":
@@ -80,7 +116,7 @@ class MArray:
 
     @property
     def numel(self) -> int:
-        return int(self.data.size)
+        return self.data.size
 
     @property
     def is_scalar(self) -> bool:
@@ -115,9 +151,13 @@ class MArray:
 
     def is_true(self) -> bool:
         """MATLAB truthiness: nonempty and all elements nonzero."""
-        if self.is_empty:
+        data = self.data
+        size = data.size
+        if size == 1:
+            return data.item() != 0
+        if size == 0:
             return False
-        return bool(np.all(self.data != 0))
+        return bool(np.all(data != 0))
 
     def flat(self) -> np.ndarray:
         """Elements in column-major order."""
@@ -125,13 +165,14 @@ class MArray:
 
     def byte_size(self, logical_bytes: int = 4) -> int:
         """Payload bytes under the C translation's representation."""
+        size = self.data.size
         if self.is_logical:
-            return self.numel * logical_bytes
+            return size * logical_bytes
         if self.is_char:
-            return self.numel
-        if self.is_complex:
-            return self.numel * 16
-        return self.numel * 8
+            return size
+        if self.data.dtype.kind == "c":
+            return size * 16
+        return size * 8
 
     def as_string(self) -> str:
         return "".join(chr(int(c.real)) for c in self.flat())
@@ -143,6 +184,12 @@ class MArray:
             "complex" if self.is_complex else "double"
         )
         return f"MArray({kind}, {self.shape})"
+
+
+# the slots' own setters, which MArray.__setattr__ shuts off
+_set_data = MArray.data.__set__
+_set_logical = MArray.is_logical.__set__
+_set_char = MArray.is_char.__set__
 
 
 def allocate(make, shape: tuple[int, ...], **kwargs) -> np.ndarray:
@@ -157,8 +204,6 @@ def allocate(make, shape: tuple[int, ...], **kwargs) -> np.ndarray:
     try:
         return make(shape, **kwargs)
     except (ValueError, MemoryError):
-        if min(shape, default=0) < 0:
-            raise  # numpy's "negative dimensions", not a size problem
         size = (
             f"{shape[0]}-element" if len(shape) == 1
             else "x".join(str(d) for d in shape)

@@ -143,7 +143,7 @@ def _compare(a: MArray, b: MArray, fn, op: str) -> MArray:
         # 1×1 operands: IEEE comparisons of the real parts give the
         # same truth value on Python floats as on numpy arrays
         truth = fn(x.item().real, y.item().real)
-        return MArray(np.array(float(truth), ndmin=2), is_logical=True)
+        return MArray(np.array(float(truth), ndmin=2), True)
     _conform(a, b, op)
     x = a.data.real if a.is_complex else a.data
     y = b.data.real if b.is_complex else b.data

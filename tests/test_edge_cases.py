@@ -9,6 +9,7 @@ from repro.frontend.source import MatlabSyntaxError
 from repro.ir.lower import LoweringError
 from repro.runtime.builtins import RuntimeContext
 from repro.runtime.errors import MatlabRuntimeError
+from repro.verify import run_differential
 
 
 def run(text, seed=3):
@@ -208,6 +209,23 @@ class TestErrorPaths:
             assert str(info.value) == (
                 f"out of memory: cannot allocate a {size} array"
             ), model
+
+    # MATLAB clamps a negative extent to 0; numel(z) also checks that
+    # the compiler's shape folding agrees with the run-time array
+    @pytest.mark.parametrize("text,output", [
+        ("z = zeros(-1); disp(size(z)); disp(numel(z));", "0  0\n0\n"),
+        ("z = ones(2, -3); disp(size(z)); disp(numel(z));", "2  0\n0\n"),
+        ("z = rand(-2); disp(size(z)); disp(numel(z));", "0  0\n0\n"),
+        ("n = -2; z = zeros(n, 3); disp(size(z)); disp(numel(z));",
+         "0  3\n0\n"),
+    ])
+    def test_negative_extent_gives_empty_array(self, text, output):
+        result = compile_source(text)
+        report = run_differential(result)
+        assert report.problems == []
+        assert report.models_run == ("interp", "mat2c", "mat2c-aliased",
+                                     "mcc")
+        assert result.run_interpreter(RuntimeContext(seed=1)).output == output
 
 
 class TestDisplayFormats:

@@ -55,6 +55,111 @@ class TestMArray:
         assert not a.is_complex
 
 
+def _reference_from_scalar(value):
+    """``MArray.from_scalar`` as it was before its float fast path:
+    every non-bool value went through ``complex()``."""
+    if isinstance(value, bool):
+        return MArray(np.array(float(value), ndmin=2), is_logical=True)
+    value = complex(value)
+    if value.imag == 0:
+        return MArray(np.array(value.real, ndmin=2))
+    return MArray(np.array(value, ndmin=2))
+
+
+def _bits(m):
+    return (m.data.dtype, m.data.shape, repr(m.data), m.data.tobytes(),
+            m.is_logical, m.is_char)
+
+
+special_floats = st.sampled_from(
+    [0.0, -0.0, 1.0, -2.5, float("nan"), float("inf"), float("-inf")]
+)
+
+
+class TestMArrayContract:
+    """MArray behaves as the frozen dataclass it replaced: immutable,
+    picklable, with field-tuple ``==`` and ``hash``."""
+
+    @pytest.mark.parametrize("name", ["data", "is_logical", "is_char",
+                                      "other"])
+    def test_fields_cannot_be_assigned_or_deleted(self, name):
+        a = scalar(1.0)
+        with pytest.raises(AttributeError):
+            setattr(a, name, np.zeros((1, 1)))
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+        assert a.data.item() == 1.0 and not a.is_logical
+
+    @pytest.mark.parametrize("flags", [(False, False), (True, False),
+                                       (False, True)])
+    def test_pickle_and_deepcopy_round_trip(self, flags):
+        import copy
+        import pickle
+
+        a = MArray(np.asfortranarray([[1.0, -0.0], [np.nan, 4.0]]), *flags)
+        for b in (pickle.loads(pickle.dumps(a)), copy.deepcopy(a)):
+            assert type(b) is MArray
+            assert b.data is not a.data
+            assert _bits(b) == _bits(a)
+            assert b.data.flags.f_contiguous
+
+    def test_eq_and_hash_as_the_dataclass(self):
+        assert scalar(2.0) == scalar(2.0)
+        assert scalar(2.0) != scalar(3.0)
+        assert MArray.from_scalar(True) != scalar(1.0)  # flags differ
+        assert scalar(2.0).__eq__(2.0) is NotImplemented
+        assert scalar(2.0) != 2.0
+        with pytest.raises(TypeError):
+            hash(scalar(2.0))
+
+    def test_numel_is_int(self):
+        assert type(scalar(1.0).numel) is int
+        assert type(arr([[1, 2, 3]]).numel) is int
+        assert MArray.empty().numel == 0
+
+    @settings(max_examples=200)
+    @given(
+        st.one_of(
+            special_floats,
+            st.floats(),
+            st.builds(complex, special_floats, special_floats),
+            st.complex_numbers(),
+        ),
+        st.sampled_from([(False, False), (True, False), (False, True)]),
+    )
+    def test_is_true_1x1_matches_np_all(self, value, flags):
+        data = np.array(value, ndmin=2)
+        truth = MArray(data, *flags).is_true()
+        assert type(truth) is bool
+        assert truth == bool(np.all(data != 0))
+
+    @pytest.mark.parametrize("shape", [(0, 0), (1, 0), (0, 3)])
+    def test_is_true_empty_is_false(self, shape):
+        assert MArray(np.zeros(shape, order="F")).is_true() is False
+
+    @settings(max_examples=300)
+    @given(st.one_of(
+        special_floats,
+        st.floats(),
+        st.floats().map(np.float64),
+        st.integers(min_value=-(2 ** 63), max_value=2 ** 63),
+        st.booleans(),
+        st.builds(complex, special_floats, special_floats),
+        st.complex_numbers(),
+    ))
+    def test_from_scalar_matches_complex_path(self, value):
+        assert _bits(MArray.from_scalar(value)) == _bits(
+            _reference_from_scalar(value)
+        )
+
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 3), (0, 0)])
+    def test_from_numpy_keeps_a_canonical_array(self, shape):
+        data = np.zeros(shape, order="F")
+        assert MArray.from_numpy(data).data is data
+        boxed = MArray.from_numpy(data, is_logical=True)
+        assert boxed.data is data and boxed.is_logical
+
+
 class TestElementwiseOps:
     def test_add_equal_shapes(self):
         c = ops.add(arr([[1, 2]]), arr([[10, 20]]))
