@@ -629,6 +629,18 @@ class CEmitter:
             return f"rt_scalar({buf}, {r}, {c})"
         raise CodegenError("string where scalar expected")
 
+    def _extent_expr(self, operand: Operand) -> str:
+        """A constructor extent.  One known to be negative at compile
+        time is emitted as 0, as the runtime and type inference clamp
+        it (``zeros(-2)`` is 0×0 and gets a one-element buffer)."""
+        if isinstance(operand, Const):
+            negative = operand.value.real < 0
+        elif isinstance(operand, Var):
+            negative = self.compilation.env.of(operand.name).range.hi < 0
+        else:
+            negative = False
+        return "0" if negative else self._scalar_expr(operand)
+
     def _emit_subsref(self, instr: Instr) -> None:
         v = instr.results[0]
         base = instr.args[0]
@@ -984,7 +996,7 @@ class CEmitter:
         vbuf = self._group_buf(v)
         vr, vc = self._dims(v)
         if name in ("zeros", "ones", "eye", "rand"):
-            dims = [self._scalar_expr(a) for a in instr.args] or ["1"]
+            dims = [self._extent_expr(a) for a in instr.args] or ["1"]
             if len(dims) > 3 or (len(dims) == 3 and name == "eye"):
                 raise CodegenError(f"{name}: too many extents for C demo")
             rexp = f"(long){dims[0]}"

@@ -78,6 +78,21 @@ class TestGenerationProperties:
         assert "double complex" in c
         assert "cabs" in c
 
+    @pytest.mark.parametrize("text", [
+        "z = zeros(-2); disp(z);",
+        "z = zeros(-2, -3); disp(z);",
+        "z = eye(-2); disp(z);",
+        "n = -2; z = ones(n, 3); disp(z);",
+        "n = floor(rand(1)) - 2; z = zeros(n); disp(z);",
+    ])
+    def test_known_negative_extent_is_emitted_as_zero(self, text):
+        # the inferred shape clamps the extent to 0 and sizes the stack
+        # buffer from it, so the C program must set 0 too: the negative
+        # value would fill past the one-element buffer
+        c = c_of(text)
+        assert "_r = (long)0;" in c
+        assert "(long)-" not in c
+
     def test_3d_supported_with_page_tracking(self):
         c = c_of("a = zeros(2, 2, 2); a(1, 1, 2) = 5; disp(a(1, 1, 2));")
         assert "_q" in c  # the true-column-count tracking
@@ -166,6 +181,20 @@ class TestDifferentialExecution:
         c_run = compile_and_run(generate_c(result))
         vm = result.run_mat2c(RuntimeContext())
         assert c_run.stdout == vm.output == "42\n"
+
+    def test_negative_extents_give_empty_arrays(self):
+        c_out, vm_out, _ = run_both(
+            "w = ones(2); z = zeros(-2); e = eye(-2); y = ones(2, -3);\n"
+            "disp(numel(z)); disp(numel(e)); disp(y); disp(w);"
+        )
+        assert c_out == vm_out == "0\n0\n\n\n1  1\n1  1\n"
+
+    def test_negative_extent_matrix_displays_empty(self):
+        # the C runtime prints no row for a 0x0 matrix; the VM prints one
+        # empty line, so only the C side is checked here
+        c_run = compile_and_run(c_of("z = zeros(-2); disp(z);"))
+        assert c_run.returncode == 0, c_run.stderr
+        assert c_run.stdout == ""
 
     def test_crossover_branches(self):
         c_out, vm_out, _ = run_both(
